@@ -4,10 +4,13 @@
 //!
 //! The batch uses the transformed SSE kernel's stage-C shape: `12 × 12`
 //! items, `A` strided (`Norb²`), `B` shared (stride `0`), accumulating
-//! `C`. `--json` merges machine-readable records into
-//! `BENCH_kernels.json`; `--quick` shrinks the batch and reps for the CI
-//! smoke run (the perf-regression gate compares the `_quick` records
-//! against the committed baseline).
+//! `C`. A second section runs the same stage-C strides at the demo
+//! device's shape, `3 × 3` items in batches of 48: too small for the
+//! packed path, so `sbsmm` runs its register-resident shared-operand
+//! kernel, compared with the scalar loop. `--json` merges
+//! machine-readable records into `BENCH_kernels.json`; `--quick` shrinks
+//! the batch and reps for the CI smoke run (the perf-regression gate
+//! compares the `_quick` records against the committed baseline).
 use omen_bench::{
     header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
     BENCH_JSON_PATH,
@@ -125,6 +128,26 @@ fn main() {
     );
     println!("shape target: packed sbsmm >= 2x the scalar small_gemm loop on stage-C batches");
 
+    let (sn, sbatch, s_useful, t_small_scalar, t_small_shared) = small_shape(quick, reps, &mk);
+    println!(
+        "\nDemo SSE shape ({sn}x{sn}, batch {sbatch}, stage-C strides; below the packed threshold)\n"
+    );
+    header(&["Kernel", "Time [us]", "Useful Gflop/s", "vs scalar"], &w);
+    for (name, t) in [
+        ("SBSMM scalar (seed loop)", t_small_scalar),
+        ("SBSMM shared-operand", t_small_shared),
+    ] {
+        row(
+            &[
+                name.into(),
+                format!("{:.3}", t * 1e6),
+                format!("{:.2}", s_useful / t / 1e9),
+                format!("{:.2}x", t_small_scalar / t),
+            ],
+            &w,
+        );
+    }
+
     if json_flag() {
         let rec = |name: &str, t: f64| BenchRecord {
             name: format!("{name}_{norb}x{norb}_b{batch}{suffix}"),
@@ -132,14 +155,58 @@ fn main() {
             median_ns: t * 1e9,
             gflops: useful / t / 1e9,
         };
+        let small_rec = |name: &str, t: f64| BenchRecord {
+            name: format!("{name}_{sn}x{sn}_b{sbatch}{suffix}"),
+            n: sn,
+            median_ns: t * 1e9,
+            gflops: s_useful / t / 1e9,
+        };
         let records = vec![
             rec("sbsmm_scalar_sseC", t_scalar),
             rec("sbsmm_packed_sseC", t_packed),
             rec("sbsmm_packed_pb_sseC", t_pb),
             rec("sbsmm_f16_scalar_sseC", t_f16),
             rec("sbsmm_f16_packed_sseC", t_f16p),
+            small_rec("sbsmm_small_scalar_sseC", t_small_scalar),
+            small_rec("sbsmm_small_shared_sseC", t_small_shared),
         ];
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");
         println!("\nwrote {} records to {BENCH_JSON_PATH}", records.len());
     }
+}
+
+/// The demo device's SSE shape: `3 × 3` items, batch 48, `A` strided, `B`
+/// shared, accumulating `C`. One call lasts microseconds, so each sample
+/// times many calls; returns `(norb, batch, useful flops per call, scalar
+/// seconds per call, shared-kernel seconds per call)`.
+fn small_shape(
+    quick: bool,
+    reps: usize,
+    mk: &dyn Fn(usize, usize) -> Vec<C64>,
+) -> (usize, usize, f64, f64, f64) {
+    let norb = 3;
+    let dims = BatchDims::square(norb);
+    let bsz = norb * norb;
+    let batch = 48;
+    let calls = if quick { 500 } else { 4000 };
+    let s = Strides {
+        a: bsz,
+        b: 0,
+        c: bsz,
+    };
+    let a = mk(batch * bsz, 3);
+    let b = mk(bsz, 4);
+    let mut c = vec![C64::ZERO; batch * bsz];
+    let t_scalar = timed_median(reps, || {
+        for _ in 0..calls {
+            sbsmm_scalar(dims, batch, C64::ONE, &a, &b, C64::ONE, &mut c, s);
+        }
+    }) / calls as f64;
+    let t_shared = timed_median(reps, || {
+        for _ in 0..calls {
+            sbsmm(dims, batch, C64::ONE, &a, &b, C64::ONE, &mut c, s);
+        }
+    }) / calls as f64;
+    let useful = dims.flops() as f64 * batch as f64;
+    (norb, batch, useful, t_scalar, t_shared)
 }

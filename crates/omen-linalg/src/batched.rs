@@ -37,7 +37,10 @@
 //!
 //! Items too small to amortize packing (see [`use_packed_kernel`]) run the
 //! retained scalar loop [`sbsmm_scalar`] / [`small_gemm`], which also
-//! serves as the correctness oracle for the property tests.
+//! serves as the correctness oracle for the property tests. Square items
+//! of order ≤ 4 with a shared (stride-0) operand — the SSE's `Norb`-sized
+//! blocks on small-basis devices — take a const-generic variant of that
+//! loop that keeps the shared block in registers, bitwise equal to it.
 
 // The batched entry points mirror BLAS `gemmStridedBatched` signatures.
 #![allow(clippy::too_many_arguments)]
@@ -383,7 +386,8 @@ pub fn give_tls_packed_b(pb: PackedB) {
 ///
 /// Runs the packed split-complex micro-kernel when the item shape
 /// amortizes packing ([`use_packed_kernel`]); stride-0 operands are packed
-/// once for the whole batch. Tiny items fall back to the scalar loop.
+/// once for the whole batch. Tiny items fall back to the scalar loop
+/// (register-resident for square `n ≤ 4` items with a shared operand).
 /// Pack buffers come from this thread's [`BatchArena`].
 pub fn sbsmm(
     dims: BatchDims,
@@ -420,7 +424,7 @@ pub fn sbsmm_with(
         count_sbsmm(dims, batch);
     }
     if alpha == C64::ZERO || !use_packed_kernel(dims) {
-        sbsmm_scalar_unchecked(dims, batch, alpha, a, b, beta, c, strides);
+        sbsmm_small(dims, batch, alpha, a, b, beta, c, strides);
         return;
     }
     sbsmm_packed(arena, dims, batch, alpha, a, b, beta, c, strides);
@@ -676,6 +680,153 @@ pub fn sbsmm_scalar(
 ) {
     check_bounds(dims, batch, a.len(), b.len(), c.len(), strides);
     sbsmm_scalar_unchecked(dims, batch, alpha, a, b, beta, c, strides);
+}
+
+/// The path of items too small for packing (bounds already checked):
+/// square items of order `n ≤ 4` with one operand shared across the
+/// batch (stride 0) run [`sbsmm_shared`]; everything else runs the scalar
+/// loop. Both give bitwise-identical results.
+fn sbsmm_small(
+    dims: BatchDims,
+    batch: usize,
+    alpha: C64,
+    a: &[C64],
+    b: &[C64],
+    beta: C64,
+    c: &mut [C64],
+    strides: Strides,
+) {
+    let BatchDims { m, n, k } = dims;
+    if m == n && n == k && (strides.a == 0 || strides.b == 0) {
+        match n {
+            1 => return sbsmm_shared::<1>(batch, alpha, a, b, beta, c, strides),
+            2 => return sbsmm_shared::<2>(batch, alpha, a, b, beta, c, strides),
+            3 => return sbsmm_shared::<3>(batch, alpha, a, b, beta, c, strides),
+            4 => return sbsmm_shared::<4>(batch, alpha, a, b, beta, c, strides),
+            _ => {}
+        }
+    }
+    sbsmm_scalar_unchecked(dims, batch, alpha, a, b, beta, c, strides);
+}
+
+/// Square `N × N` batch with a stride-0 `A` or `B` (the transformed SSE
+/// kernel's stage-A and stage-C shapes at small `Norb`). A shared `B` is
+/// turned into its `alpha · B` [`Weight`]s once for the whole batch, and
+/// every item runs in registers. Each item keeps [`small_gemm`]'s `beta`
+/// prescale, its `j`/`l`/`i` order and its zero-weight skip, so the result
+/// is bitwise equal to the scalar loop.
+fn sbsmm_shared<const N: usize>(
+    batch: usize,
+    alpha: C64,
+    a: &[C64],
+    b: &[C64],
+    beta: C64,
+    c: &mut [C64],
+    strides: Strides,
+) {
+    let len = N * N;
+    if strides.b == 0 {
+        let w = Weight::block::<N>(alpha, &b[..len]);
+        for idx in 0..batch {
+            let av = &a[idx * strides.a..idx * strides.a + len];
+            let cv = &mut c[idx * strides.c..idx * strides.c + len];
+            shared_item::<N>(beta, av, &w, cv);
+        }
+    } else {
+        let av = &a[..len];
+        for idx in 0..batch {
+            let w = Weight::block::<N>(alpha, &b[idx * strides.b..idx * strides.b + len]);
+            let cv = &mut c[idx * strides.c..idx * strides.c + len];
+            shared_item::<N>(beta, av, &w, cv);
+        }
+    }
+}
+
+/// One `alpha · B[l, j]` weight of [`small_gemm`], held so that
+/// `c.mul_add(a, w)` becomes two lane-wise multiply-adds:
+/// `(c + a.re·[w.re, w.im]) + a.im·[−w.im, w.re]`. That rounds exactly
+/// like the scalar form (negating a product is exact, and adding a negated
+/// term is subtracting it).
+#[derive(Clone, Copy)]
+struct Weight {
+    v: Lane,
+    rot: Lane,
+    zero: bool,
+}
+
+impl Weight {
+    /// The weights of the column-major `N × N` block `b`, `[j][l]`.
+    #[inline(always)]
+    fn block<const N: usize>(alpha: C64, b: &[C64]) -> [[Weight; N]; N] {
+        let mut w = [[Weight {
+            v: Lane::ZERO,
+            rot: Lane::ZERO,
+            zero: true,
+        }; N]; N];
+        for (wj, bj) in w.iter_mut().zip(b.chunks_exact(N)) {
+            for (wl, &bl) in wj.iter_mut().zip(bj) {
+                let z = alpha * bl;
+                *wl = Weight {
+                    v: Lane([z.re, z.im]),
+                    rot: Lane([-z.im, z.re]),
+                    zero: z == C64::ZERO,
+                };
+            }
+        }
+        w
+    }
+}
+
+/// One item of [`sbsmm_shared`]: `small_gemm`'s beta prescale, then its
+/// `j`/`l`/`i` loop (zero weights skipped) on register-resident columns.
+#[inline(always)]
+fn shared_item<const N: usize>(beta: C64, a: &[C64], w: &[[Weight; N]; N], c: &mut [C64]) {
+    let (a, c) = (&a[..N * N], &mut c[..N * N]);
+    let mut acc = [[Lane::ZERO; N]; N];
+    if beta != C64::ZERO {
+        for (j, col) in acc.iter_mut().enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                let mut z = c[j * N + i];
+                if beta != C64::ONE {
+                    z *= beta;
+                }
+                *v = Lane([z.re, z.im]);
+            }
+        }
+    }
+    for (col, wj) in acc.iter_mut().zip(w) {
+        for (l, wl) in wj.iter().enumerate() {
+            if wl.zero {
+                continue;
+            }
+            for (i, v) in col.iter_mut().enumerate() {
+                let x = a[l * N + i];
+                *v = v
+                    .mul_add(Lane([x.re; 2]), wl.v)
+                    .mul_add(Lane([x.im; 2]), wl.rot);
+            }
+        }
+    }
+    for (j, col) in acc.iter().enumerate() {
+        for (i, v) in col.iter().enumerate() {
+            c[j * N + i] = c64(v.0[0], v.0[1]);
+        }
+    }
+}
+
+/// Two `f64` lanes with a lane-wise multiply-add; LLVM keeps one in a
+/// 128-bit vector register.
+#[derive(Clone, Copy)]
+struct Lane([f64; 2]);
+
+impl Lane {
+    const ZERO: Lane = Lane([0.0; 2]);
+
+    /// `self + a · b`, lane by lane (separately rounded, never fused).
+    #[inline(always)]
+    fn mul_add(self, a: Lane, b: Lane) -> Lane {
+        Lane([self.0[0] + a.0[0] * b.0[0], self.0[1] + a.0[1] * b.0[1]])
+    }
 }
 
 fn sbsmm_scalar_unchecked(

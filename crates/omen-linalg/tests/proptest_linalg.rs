@@ -258,6 +258,70 @@ proptest! {
     }
 
     #[test]
+    fn small_shared_sbsmm_bitwise_equals_small_gemm(
+        n in 1usize..=4,
+        batch in 0usize..7,
+        shared_b in 0usize..2,
+        kinds in (0usize..3, 0usize..3),
+        coeffs in (arb_c64(), arb_c64()),
+        gaps in (0usize..3, 0usize..3),
+        seed in 0u64..1_000_000,
+    ) {
+        // Square n ≤ 4 items with a stride-0 operand take the
+        // register-resident small kernel inside `sbsmm`; it must match the
+        // per-item `small_gemm` loop bit for bit, including the zero-weight
+        // skip (operands hold exact zeros) and the alpha/beta special cases.
+        let dims = BatchDims::square(n);
+        let len = n * n;
+        let pick = |kind: usize, other: C64| match kind {
+            0 => C64::ZERO,
+            1 => C64::ONE,
+            _ => other,
+        };
+        let alpha = pick(kinds.0, coeffs.0);
+        let beta = pick(kinds.1, coeffs.1);
+        let (sa, sb) = if shared_b == 1 { (len + gaps.0, 0) } else { (0, len + gaps.0) };
+        let s = Strides { a: sa, b: sb, c: len + gaps.1 };
+        let fill = |count: usize, tag: u64| -> Vec<C64> {
+            (0..count)
+                .map(|i| {
+                    let h = (seed + tag).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    let t = i as f64 * 0.61 + (seed + tag) as f64 * 1e-4;
+                    match (h >> 29) % 5 {
+                        0 => C64::ZERO,
+                        1 => c64(0.0, (t * 0.7).cos()),
+                        2 => c64((t * 1.1).sin(), 0.0),
+                        _ => c64((t * 1.1).sin(), (t * 0.7).cos()),
+                    }
+                })
+                .collect()
+        };
+        let items = batch.max(1);
+        let a = fill(if sa == 0 { len } else { items * sa }, 1);
+        let b = fill(if sb == 0 { len } else { items * sb }, 2);
+        let c0 = fill(items * s.c, 3);
+        let mut got = c0.clone();
+        let mut want = c0.clone();
+        sbsmm(dims, batch, alpha, &a, &b, beta, &mut got, s);
+        for idx in 0..batch {
+            small_gemm(
+                dims,
+                alpha,
+                &a[idx * s.a..idx * s.a + len],
+                &b[idx * s.b..idx * s.b + len],
+                beta,
+                &mut want[idx * s.c..idx * s.c + len],
+            );
+        }
+        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "n {n} b{batch} element {i}: {x:?} != {y:?}"
+            );
+        }
+    }
+
+    #[test]
     fn sbsmm_par_matches_serial_packed(
         m in 1usize..16,
         n in 1usize..16,

@@ -14,6 +14,20 @@
 //!    `A`-stride `Norb²`, `B`-stride `0`, `C`-stride `Norb²`.
 //! 4. **Map fusion** (❹): the stages share transients and loop structure.
 //!
+//! At small `Norb` (the demo device has 3 orbitals) the stage-A and
+//! stage-C batches are too small for the packed micro-kernel; `sbsmm`
+//! runs them through its register-resident shared-operand kernel.
+//!
+//! Stage D (`Π^≷`) runs in parallel over pairs. For each `kz + qz` it
+//! transposes the reverse pair's three `∇H·G` panels once into a
+//! per-worker buffer, which turns every trace into a plain dot product
+//! over the contiguous `E·Norb²` range; the nine `(i, j)` sums of one
+//! `(qz, kz, ω)` tuple are one pass of register-blocked complex dots. The
+//! per-pair sums land in an accumulator kept in [`Transients`] and are
+//! scattered into the Π pair and diagonal entries serially, in ascending
+//! pair order. Every stage therefore gives bitwise the same `Σ^≷`/`Π^≷`
+//! at any thread count.
+//!
 //! The kernel produces values elementwise-identical (up to floating-point
 //! reassociation) to [`crate::reference::sse_reference`].
 
@@ -61,6 +75,8 @@ pub struct Transients {
     pub hd_g: Vec<C64>,
     /// Flops spent building the transients (stages A and B).
     pub flops: u64,
+    /// Stage-D scratch, reused across calls.
+    pi: PiScratch,
     nk: usize,
     ne: usize,
     nq: usize,
@@ -78,6 +94,7 @@ impl Transients {
             hd_l: Vec::new(),
             hd_g: Vec::new(),
             flops: 0,
+            pi: PiScratch::default(),
             nk: 0,
             ne: 0,
             nq: 0,
@@ -97,6 +114,14 @@ impl Transients {
     pub fn hd_offset(&self, pair: usize, i: usize, q: usize, m: usize) -> usize {
         (((pair * 3 + i) * self.nq + q) * self.nw + m) * self.bsz
     }
+}
+
+/// Reusable storage of stage D: the per-pair `C^≷` sums and one panel
+/// buffer of `6 · NE · Norb²` elements per worker.
+#[derive(Default)]
+struct PiScratch {
+    acc: Vec<C64>,
+    panels: Vec<C64>,
 }
 
 impl Default for Transients {
@@ -267,16 +292,16 @@ pub fn sse_transformed_into(
     consume_transients_into(prob, tr, out);
 }
 
-/// The Σ/Π assembly from prebuilt transients (shared with the
-/// mixed-precision kernel for its stage D).
-pub fn consume_transients(prob: &SseProblem, tr: &Transients) -> SseOutput {
+/// The Σ/Π assembly (stages C and D) from prebuilt transients. Takes the
+/// transients mutably because stage D keeps its scratch in them.
+pub fn consume_transients(prob: &SseProblem, tr: &mut Transients) -> SseOutput {
     let mut out = SseOutput::empty();
     consume_transients_into(prob, tr, &mut out);
     out
 }
 
 /// [`consume_transients`] into reusable output storage.
-pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut SseOutput) {
+pub fn consume_transients_into(prob: &SseProblem, tr: &mut Transients, out: &mut SseOutput) {
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
@@ -420,47 +445,99 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
     }
 
     // ---- stage D: Π^≷ from transient traces ----
+    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
+
+    out.flops = tr.flops + flops_c + flops_d;
+}
+
+/// Stage D: `Π^≷` from the `∇H·G` transients; shared by the transformed
+/// and mixed-precision kernels. Returns the stage's flops.
+///
+/// Each pair's per-`(qz, ω)` `C^≷` sums are independent, so they are
+/// computed in parallel over pairs (above the same Σ-size threshold as
+/// stages A–C) into the accumulator held in `tr`. The scatter into the Π
+/// pair and diagonal entries then runs serially in ascending pair order:
+/// a diagonal entry collects several pairs. Every sum has a fixed order,
+/// so `Π^≷` does not depend on the thread count.
+pub(crate) fn pi_stage(
+    prob: &SseProblem,
+    tr: &mut Transients,
+    pi_l: &mut DTensor,
+    pi_g: &mut DTensor,
+) -> u64 {
+    let mut scratch = std::mem::take(&mut tr.pi);
+    let flops = pi_stage_with(prob, tr, &mut scratch, pi_l, pi_g);
+    tr.pi = scratch;
+    flops
+}
+
+fn pi_stage_with(
+    prob: &SseProblem,
+    tr: &Transients,
+    scratch: &mut PiScratch,
+    pi_l: &mut DTensor,
+    pi_g: &mut DTensor,
+) -> u64 {
+    let norb = prob.norb();
+    let bsz = norb * norb;
+    let na = prob.na();
+    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
     let npairs = prob.npairs();
-    out.pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    out.pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    let pi_l = &mut out.pi_l;
-    let pi_g = &mut out.pi_g;
-    let mut flops_d = 0u64;
+    pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    let per_pair = nq * nw * 2 * D_BSZ;
+    let panel = ne * bsz;
+    if npairs == 0 || per_pair == 0 || panel == 0 {
+        return 0;
+    }
+
+    // Per pair: [qz][ω][lesser, greater][D_BSZ] sums. Per worker: the
+    // three rev-side ∇H·G^< panels, then the three ∇H·G^> panels, each
+    // transposed block by block over the whole energy axis.
+    let par = nk * ne * na * bsz >= PAR_MIN_ELEMS;
+    let workers = if par {
+        rayon::current_num_threads().clamp(1, npairs)
+    } else {
+        1
+    };
+    let group = npairs.div_ceil(workers);
+    scratch.acc.resize(npairs * per_pair, C64::ZERO);
+    scratch
+        .panels
+        .resize(npairs.div_ceil(group) * 6 * panel, C64::ZERO);
+
+    let group_body = |g: usize, acc: &mut [C64], xt: &mut [C64]| -> u64 {
+        acc.chunks_mut(per_pair)
+            .enumerate()
+            .map(|(t, acc_p)| pair_sums(prob, tr, g * group + t, acc_p, xt))
+            .sum()
+    };
+    let acc = &mut scratch.acc;
+    let flops: u64 = if par {
+        acc.par_chunks_mut(group * per_pair)
+            .zip(scratch.panels.par_chunks_mut(6 * panel))
+            .enumerate()
+            .map(|(g, (acc, xt))| group_body(g, acc, xt))
+            .sum()
+    } else {
+        acc.chunks_mut(group * per_pair)
+            .zip(scratch.panels.chunks_mut(6 * panel))
+            .enumerate()
+            .map(|(g, (acc, xt))| group_body(g, acc, xt))
+            .sum()
+    };
+
     let pairs = &prob.device.neighbors.pairs;
-    // `p` indexes `pairs` and `rev_pair` in lockstep; an iterator zip
-    // would obscure the pair/reverse-pair relationship.
-    #[allow(clippy::needless_range_loop)]
-    for p in 0..npairs {
-        let a = pairs[p].from;
-        let rev = prob.rev_pair[p];
+    for (p, acc_p) in acc.chunks(per_pair).enumerate() {
+        let pe = pi_l.pair_entry(p);
+        let de = pi_l.diag_entry(pairs[p].from);
         for q in 0..nq {
             for m in 0..nw {
-                let steps = prob.omega_steps(m);
-                if steps >= ne {
+                if prob.omega_steps(m) >= ne {
                     continue;
                 }
-                let mut c_l = [C64::ZERO; D_BSZ];
-                let mut c_g = [C64::ZERO; D_BSZ];
-                for k in 0..nk {
-                    let kq = prob.k_plus_q(k, q);
-                    for e in 0..ne - steps {
-                        for i in 0..3 {
-                            let x_l = &tr.hg_l[tr.hg_offset(rev, i, kq, e + steps)..];
-                            let x_g = &tr.hg_g[tr.hg_offset(rev, i, kq, e + steps)..];
-                            for j in 0..3 {
-                                let y_g = &tr.hg_g[tr.hg_offset(p, j, k, e)..];
-                                let y_l = &tr.hg_l[tr.hg_offset(p, j, k, e)..];
-                                c_l[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_l[..bsz], &y_g[..bsz], norb);
-                                c_g[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_g[..bsz], &y_l[..bsz], norb);
-                                flops_d += 2 * 8 * bsz as u64;
-                            }
-                        }
-                    }
-                }
-                let pe = pi_l.pair_entry(p);
-                let de = pi_l.diag_entry(a);
+                let o = (q * nw + m) * 2 * D_BSZ;
+                let (c_l, c_g) = acc_p[o..o + 2 * D_BSZ].split_at(D_BSZ);
                 for x in 0..D_BSZ {
                     pi_l.block_mut(q, m, pe)[x] += c_l[x].scale(prob.scale_pi);
                     pi_l.block_mut(q, m, de)[x] += c_l[x].scale(prob.scale_pi);
@@ -470,8 +547,84 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
             }
         }
     }
+    flops
+}
 
-    out.flops = tr.flops + flops_c + flops_d;
+/// The `C^≷` sums of pair `p` into `acc` (`[qz][ω][lesser, greater]`
+/// blocks): `C^<_{ij}(q, ω) = Σ_k Σ_e tr(∇H^i_rev·G^<(k+q, e+ω) ·
+/// ∇H^j_p·G^>(k, e))` and its greater counterpart. `xt` is the worker's
+/// panel buffer. Returns the flops spent.
+fn pair_sums(prob: &SseProblem, tr: &Transients, p: usize, acc: &mut [C64], xt: &mut [C64]) -> u64 {
+    let norb = prob.norb();
+    let bsz = norb * norb;
+    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
+    let panel = ne * bsz;
+    let rev = prob.rev_pair[p];
+    let mut flops = 0u64;
+    acc.fill(C64::ZERO);
+    for kq in 0..nk {
+        // tr(X·Y) = Σ_{r,s} X[r,s]·Y[s,r]: transposing each rev-side block
+        // once turns every trace into a plain dot product over the
+        // contiguous energy range, reused for all qz and ω.
+        for (side, hg) in [&tr.hg_l, &tr.hg_g].into_iter().enumerate() {
+            for i in 0..3 {
+                let src = &hg[tr.hg_offset(rev, i, kq, 0)..][..panel];
+                let dst = &mut xt[(side * 3 + i) * panel..][..panel];
+                for (d, s) in dst.chunks_exact_mut(bsz).zip(src.chunks_exact(bsz)) {
+                    for r in 0..norb {
+                        for c in 0..norb {
+                            d[r * norb + c] = s[c * norb + r];
+                        }
+                    }
+                }
+            }
+        }
+        let (xt_l, xt_g) = xt.split_at(3 * panel);
+        for q in 0..nq {
+            let k = prob.k_minus_q(kq, q);
+            let y_l = [0, 1, 2].map(|j| &tr.hg_l[tr.hg_offset(p, j, k, 0)..][..panel]);
+            let y_g = [0, 1, 2].map(|j| &tr.hg_g[tr.hg_offset(p, j, k, 0)..][..panel]);
+            for m in 0..nw {
+                let steps = prob.omega_steps(m);
+                if steps >= ne {
+                    continue;
+                }
+                let len = (ne - steps) * bsz;
+                let x_l = [0, 1, 2].map(|i| &xt_l[i * panel + steps * bsz..][..len]);
+                let x_g = [0, 1, 2].map(|i| &xt_g[i * panel + steps * bsz..][..len]);
+                let o = (q * nw + m) * 2 * D_BSZ;
+                let (c_l, c_g) = acc[o..o + 2 * D_BSZ].split_at_mut(D_BSZ);
+                let s_l = dot9(x_l, y_g);
+                let s_g = dot9(x_g, y_l);
+                for x in 0..D_BSZ {
+                    c_l[x] += s_l[x];
+                    c_g[x] += s_g[x];
+                }
+                flops += 2 * 8 * (D_BSZ * len) as u64;
+            }
+        }
+    }
+    flops
+}
+
+/// The nine unconjugated dots `Σ_t x_i[t]·y_j[t]` (slot `j·3 + i`, the Π
+/// block's column-major order) in one pass over `x`'s length, with the
+/// nine complex accumulators held in registers.
+#[inline]
+fn dot9(x: [&[C64]; 3], y: [&[C64]; 3]) -> [C64; D_BSZ] {
+    let n = x[0].len();
+    let (x0, x1, x2) = (&x[0][..n], &x[1][..n], &x[2][..n]);
+    let (y0, y1, y2) = (&y[0][..n], &y[1][..n], &y[2][..n]);
+    let mut s = [C64::ZERO; D_BSZ];
+    for t in 0..n {
+        let xs = [x0[t], x1[t], x2[t]];
+        for (j, yj) in [y0[t], y1[t], y2[t]].into_iter().enumerate() {
+            for (i, &xi) in xs.iter().enumerate() {
+                s[j * 3 + i] = s[j * 3 + i].mul_add(xi, yj);
+            }
+        }
+    }
+    s
 }
 
 /// Sequential single-block helper mirroring the reference arithmetic; used
