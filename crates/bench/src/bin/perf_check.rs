@@ -15,7 +15,9 @@
 //! 2. **Within-run floors** — machine-independent backstops computed
 //!    inside a single fresh file, applied only when that family's records
 //!    are present: the packed batched kernel must beat the scalar loop by
-//!    `--min-speedup` (default 1.2×) on the stage-C shape, and the
+//!    `--min-speedup` (default 1.2×) on the stage-C shape, the small
+//!    shared-operand kernel must beat it by the same floor on the demo
+//!    device's 3×3 stage-C batch (full and quick records), and the
 //!    warm-started sweep must save Born iterations (strict, deterministic)
 //!    while keeping at least `--min-sweep-speedup` (default 0.9×) of the
 //!    cold sweep's points/second. The iteration count is the real warm-
@@ -216,27 +218,50 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
             .find(|r| r.name.starts_with(prefix) && r.name.ends_with("_quick"))
     };
     if fresh.iter().any(|r| r.name.starts_with("sbsmm_")) {
-        match (find("sbsmm_packed_sseC"), find("sbsmm_scalar_sseC")) {
-            (Some(packed), Some(scalar)) => {
-                let speedup = scalar.median_ns / packed.median_ns;
-                println!(
-                    "within-run: {} vs {}: {speedup:.2}x (floor {min_speedup:.2}x)",
-                    packed.name, scalar.name
-                );
-                if speedup < min_speedup {
-                    eprintln!(
-                        "perf_check: packed sbsmm speedup {speedup:.2}x fell below the \
-                         {min_speedup:.2}x floor"
-                    );
-                    out.failed_floors += 1;
-                }
+        // `fast` must beat `slow` by the speedup floor; returns the
+        // failed-floor count (0 or 1).
+        let speedup_floor = |fast: &BenchRecord, slow: &BenchRecord| {
+            let speedup = slow.median_ns / fast.median_ns;
+            println!(
+                "within-run: {} vs {}: {speedup:.2}x (floor {min_speedup:.2}x)",
+                fast.name, slow.name
+            );
+            if speedup >= min_speedup {
+                return 0;
             }
+            eprintln!(
+                "perf_check: {} speedup {speedup:.2}x fell below the {min_speedup:.2}x floor",
+                fast.name
+            );
+            1
+        };
+        match (find("sbsmm_packed_sseC"), find("sbsmm_scalar_sseC")) {
+            (Some(packed), Some(scalar)) => out.failed_floors += speedup_floor(packed, scalar),
             _ => {
                 eprintln!(
                     "perf_check: {fresh_path} has sbsmm records but lacks the packed/scalar \
                      quick pair — the floor would be vacuous; failing"
                 );
                 out.failed_floors += 1;
+            }
+        }
+        // The shared-operand kernel on the demo's 3×3 stage-C batch, full
+        // and quick records alike; the quick pair is required.
+        for suffix in ["", "_quick"] {
+            let rec = |name: &str| fresh.iter().find(|r| r.name == format!("{name}{suffix}"));
+            match (
+                rec("sbsmm_small_shared_sseC_3x3_b48"),
+                rec("sbsmm_small_scalar_sseC_3x3_b48"),
+            ) {
+                (Some(shared), Some(scalar)) => out.failed_floors += speedup_floor(shared, scalar),
+                _ if !suffix.is_empty() => {
+                    eprintln!(
+                        "perf_check: {fresh_path} has sbsmm records but lacks the small \
+                         shared/scalar quick pair — the floor would be vacuous; failing"
+                    );
+                    out.failed_floors += 1;
+                }
+                _ => {}
             }
         }
     }

@@ -15,8 +15,8 @@ use crate::plan_common::{assemble, initial_d, initial_g, CombinedG, PlanResult, 
 use crate::sse_state::{LocalD, LocalG};
 use crate::topology::OmenGrid;
 use crate::volume::VolumeLedger;
-use omen_linalg::C64;
-use omen_sse::{pi_round_update, sigma_round_update, DTensor, GTensor, SseProblem};
+use omen_linalg::{Workspace, C64};
+use omen_sse::{pi_round_update_into, sigma_round_update_ws, DTensor, GTensor, SseProblem};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The `(k', e')` rows rank `r` must fetch in round `(q, m)`, excluding
@@ -47,7 +47,9 @@ fn needed_points(
 }
 
 /// Executes the OMEN-decomposed SSE on `grid.nranks()` simulated ranks and
-/// returns the assembled self-energies plus the byte ledger.
+/// returns the assembled self-energies plus the byte ledger. The result
+/// reports 0 flops: the per-round loop is the paper's baseline schedule
+/// and does not meter its arithmetic.
 pub fn run_omen_plan(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -77,6 +79,9 @@ pub fn run_omen_plan(
             .collect();
         // Π results for owned phonon points.
         let mut pi_out: crate::plan_common::RankRows = Vec::new();
+        // Round-point scratch, reused for the whole rank loop.
+        let mut ws = Workspace::new();
+        let mut pi_updates = Vec::new();
 
         for q in 0..prob.nq {
             for m in 0..prob.nw {
@@ -164,12 +169,23 @@ pub fn run_omen_plan(
                 let mut pi_partial_g = vec![C64::ZERO; nentries * 9];
                 for &(k, e) in &owned {
                     let (acc_l, acc_g) = sig.get_mut(&(k, e)).unwrap();
-                    sigma_round_update(
+                    sigma_round_update_ws(
                         prob, q, m, k, e, &view_l, &view_g, &round_dl, &round_dg, acc_l, acc_g,
+                        &mut ws,
                     );
-                    for (p, c_l, c_g) in
-                        pi_round_update(prob, q, m, k, e, &view_l, &view_g, &all_pairs)
-                    {
+                    pi_round_update_into(
+                        prob,
+                        q,
+                        m,
+                        k,
+                        e,
+                        &view_l,
+                        &view_g,
+                        &all_pairs,
+                        &mut ws,
+                        &mut pi_updates,
+                    );
+                    for &(p, c_l, c_g) in &pi_updates {
                         let a = prob.device.neighbors.pairs[p].from;
                         let de = prob.npairs() + a;
                         for x in 0..9 {
@@ -190,12 +206,23 @@ pub fn run_omen_plan(
             }
         }
 
+        // Scale the finished sums.
+        let scale = |rows: &mut [C64], s: f64| rows.iter_mut().for_each(|v| *v = v.scale(s));
+        for (l, g) in sig.values_mut() {
+            scale(l, prob.scale_sigma);
+            scale(g, prob.scale_sigma);
+        }
+        for (_, l, g) in &mut pi_out {
+            scale(l, prob.scale_pi);
+            scale(g, prob.scale_pi);
+        }
         RankSse {
             sigma: sig
                 .into_iter()
                 .map(|((k, e), (l, g))| ((k, e), l, g))
                 .collect(),
             pi: pi_out,
+            flops: 0,
         }
     });
 

@@ -12,10 +12,13 @@ pub type RankRows = Vec<((usize, usize), Vec<C64>, Vec<C64>)>;
 
 /// Per-rank SSE results handed back by a plan's rank closure.
 pub struct RankSse {
-    /// Owned `Σ^≷(k, e)` rows (full `na · bsz`, unscaled).
+    /// Owned `Σ^≷(k, e)` rows (full `na · bsz`, scaled by `scale_sigma`).
     pub sigma: RankRows,
-    /// Owned `Π^≷(q, m)` rows (full `nentries · 9`, unscaled).
+    /// Owned `Π^≷(q, m)` rows (full `nentries · 9`, scaled by `scale_pi`).
     pub pi: RankRows,
+    /// Flops the rank's SSE arithmetic spent (0 where a plan does not
+    /// meter it).
+    pub flops: u64,
 }
 
 /// Assembled plan output (scaled; comparable to
@@ -29,6 +32,8 @@ pub struct PlanResult {
     pub pi_l: DTensor,
     /// `Π^>`.
     pub pi_g: DTensor,
+    /// Flops summed over the ranks.
+    pub flops: u64,
 }
 
 /// Extracts the initial per-rank `G^≷` distribution: the `(k, e)` rows the
@@ -86,7 +91,8 @@ pub fn initial_d(
     (ll, lg)
 }
 
-/// Assembles rank outputs into full tensors, applying the problem scales.
+/// Assembles rank outputs into full tensors. The rows arrive scaled: each
+/// plan applies the problem scales where its arithmetic needs them.
 pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
     let norb = prob.norb();
     let bsz = norb * norb;
@@ -95,14 +101,16 @@ pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
     let mut sigma_g = GTensor::zeros(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
     let mut pi_l = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
     let mut pi_g = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
+    let mut flops = 0;
     for out in rank_outputs {
+        flops += out.flops;
         for ((k, e), row_l, row_g) in out.sigma {
             for a in 0..na {
                 for (x, v) in sigma_l.block_mut(k, e, a).iter_mut().enumerate() {
-                    *v += row_l[a * bsz + x].scale(prob.scale_sigma);
+                    *v += row_l[a * bsz + x];
                 }
                 for (x, v) in sigma_g.block_mut(k, e, a).iter_mut().enumerate() {
-                    *v += row_g[a * bsz + x].scale(prob.scale_sigma);
+                    *v += row_g[a * bsz + x];
                 }
             }
         }
@@ -110,8 +118,8 @@ pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
         for ((q, m), row_l, row_g) in out.pi {
             for en in 0..nentries {
                 for x in 0..9 {
-                    pi_l.block_mut(q, m, en)[x] += row_l[en * 9 + x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, en)[x] += row_g[en * 9 + x].scale(prob.scale_pi);
+                    pi_l.block_mut(q, m, en)[x] += row_l[en * 9 + x];
+                    pi_g.block_mut(q, m, en)[x] += row_g[en * 9 + x];
                 }
             }
         }
@@ -121,6 +129,7 @@ pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
         sigma_g,
         pi_l,
         pi_g,
+        flops,
     }
 }
 

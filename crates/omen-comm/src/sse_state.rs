@@ -10,9 +10,7 @@ use omen_sse::{DBlocks, GBlocks};
 use std::collections::HashMap;
 
 /// Per-rank storage of `G` (or `Σ`) atom blocks for a set of `(k, e)`
-/// points. Each stored point carries the full `na · bsz` atom-block row;
-/// unpopulated atom blocks are zero (and must never be read — the plans
-/// only access atoms covered by the decomposition's halo).
+/// points. Each stored point carries the full `na · bsz` atom-block row.
 pub struct LocalG {
     /// Atoms.
     pub na: usize,
@@ -42,16 +40,6 @@ impl LocalG {
         self.map.insert((k, e), row);
     }
 
-    /// Writes one atom block into `(k, e)`, creating the row if needed.
-    pub fn insert_block(&mut self, k: usize, e: usize, a: usize, block: &[C64]) {
-        assert_eq!(block.len(), self.bsz, "block length");
-        let row = self
-            .map
-            .entry((k, e))
-            .or_insert_with(|| vec![C64::ZERO; self.na * self.bsz]);
-        row[a * self.bsz..(a + 1) * self.bsz].copy_from_slice(block);
-    }
-
     /// The atom block `a` of point `(k, e)`.
     pub fn get_block(&self, k: usize, e: usize, a: usize) -> &[C64] {
         let row = self
@@ -69,11 +57,6 @@ impl LocalG {
     /// `true` when no point is resident.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Resident points in unspecified order.
-    pub fn points(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.map.keys().copied()
     }
 }
 
@@ -100,26 +83,10 @@ impl LocalD {
         }
     }
 
-    /// `true` if point `(q, m)` is resident.
-    pub fn has(&self, q: usize, m: usize) -> bool {
-        self.map.contains_key(&(q, m))
-    }
-
     /// Inserts (or replaces) the full entry row of `(q, m)`.
     pub fn insert_row(&mut self, q: usize, m: usize, row: Vec<C64>) {
         assert_eq!(row.len(), self.nentries * 9, "row length");
         self.map.insert((q, m), row);
-    }
-
-    /// Writes one entry block, creating the row if needed.
-    pub fn insert_block(&mut self, q: usize, m: usize, entry: usize, block: &[C64]) {
-        assert_eq!(block.len(), 9, "block length");
-        let n = self.nentries;
-        let row = self
-            .map
-            .entry((q, m))
-            .or_insert_with(|| vec![C64::ZERO; n * 9]);
-        row[entry * 9..entry * 9 + 9].copy_from_slice(block);
     }
 
     /// Adds one entry block (for reductions at the destination).
@@ -170,10 +137,11 @@ mod tests {
     fn local_g_round_trip() {
         let mut g = LocalG::new(4, 4);
         assert!(g.is_empty());
-        g.insert_block(1, 2, 3, &[c64(1.0, 0.0); 4]);
+        let mut row = vec![C64::ZERO; 16];
+        row[12..].fill(c64(1.0, 0.0));
+        g.insert_row(1, 2, row);
         assert!(g.has(1, 2));
         assert_eq!(g.get_block(1, 2, 3)[0], c64(1.0, 0.0));
-        // Unwritten atoms default to zero.
         assert_eq!(g.get_block(1, 2, 0)[0], C64::ZERO);
         assert_eq!(g.len(), 1);
         assert_eq!(g.gblock(1, 2, 3)[1], c64(1.0, 0.0));

@@ -28,8 +28,8 @@ pub use flops::{sse_flops_dace, sse_flops_omen, SseFlopParams};
 pub use kernel::{KernelState, MixedKernel, ReferenceKernel, SseKernel, TransformedKernel};
 pub use mixed::{sse_mixed, sse_mixed_into, MixedConfig, MixedScratch};
 pub use point_kernels::{
-    pi_round_update, pi_round_update_into, sigma_round_update, sigma_round_update_atoms,
-    sigma_round_update_atoms_ws, sigma_round_update_ws, DBlocks, GBlocks,
+    pi_round_update, pi_round_update_into, sigma_round_update, sigma_round_update_ws, DBlocks,
+    GBlocks,
 };
 pub use problem::{compute_rev_pair, SseProblem};
 pub use reference::{
@@ -38,5 +38,5 @@ pub use reference::{
 pub use tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
 pub use transformed::{
     build_transients, build_transients_into, consume_transients, consume_transients_into,
-    sse_transformed, sse_transformed_into, Transients,
+    sse_block, sse_transformed, sse_transformed_into, AtomBlock, GPanels, Transients,
 };

@@ -1,7 +1,7 @@
 //! Per-point SSE update kernels over abstract block storage.
 //!
-//! The distributed communication plans in `omen-comm` execute SSE with
-//! data scattered across simulated ranks; they cannot hand full
+//! The OMEN communication plan in `omen-comm` executes SSE round by round
+//! with data scattered across simulated ranks; it cannot hand full
 //! [`GTensor`]s to the kernels. These helpers compute the contribution of
 //! a single `(qz, ω)` round to `Σ^≷(kz, E)` and `Π^≷(qz, ω)` through the
 //! [`GBlocks`]/[`DBlocks`] traits, and the test suite proves that summing
@@ -77,110 +77,12 @@ pub fn sigma_round_update_ws(
     out_g: &mut [C64],
     ws: &mut Workspace,
 ) {
-    let na = prob.na();
-    sigma_round_core(
-        prob,
-        q,
-        m,
-        k,
-        e,
-        g_l,
-        g_g,
-        d_l,
-        d_g,
-        (0..na).map(|a| (a, a)),
-        na,
-        out_l,
-        out_g,
-        ws,
-    );
-}
-
-/// Subset variant of [`sigma_round_update`]: only the atoms in `atoms`
-/// are updated; output block `x` of `out_l`/`out_g` corresponds to
-/// `atoms[x]`. Used by the atom-tiled (DaCe) decomposition, where a rank
-/// owns a contiguous atom range plus a neighbor halo.
-#[allow(clippy::too_many_arguments)]
-pub fn sigma_round_update_atoms(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: &[usize],
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-) {
-    let mut ws = Workspace::new();
-    sigma_round_update_atoms_ws(
-        prob, q, m, k, e, g_l, g_g, d_l, d_g, atoms, out_l, out_g, &mut ws,
-    );
-}
-
-/// [`sigma_round_update_atoms`] with workspace-held scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn sigma_round_update_atoms_ws(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: &[usize],
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-    ws: &mut Workspace,
-) {
-    sigma_round_core(
-        prob,
-        q,
-        m,
-        k,
-        e,
-        g_l,
-        g_g,
-        d_l,
-        d_g,
-        atoms.iter().copied().enumerate(),
-        atoms.len(),
-        out_l,
-        out_g,
-        ws,
-    );
-}
-
-/// Shared implementation over an `(output block, atom)` iteration. The
-/// arithmetic is identical to the corresponding slice of
-/// [`crate::reference::sse_reference`].
-#[allow(clippy::too_many_arguments)]
-fn sigma_round_core(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: impl Iterator<Item = (usize, usize)>,
-    natoms: usize,
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-    ws: &mut Workspace,
-) {
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
-    assert_eq!(out_l.len(), natoms * bsz, "Σ< accumulator length");
-    assert_eq!(out_g.len(), natoms * bsz, "Σ> accumulator length");
+    let na = prob.na();
+    assert_eq!(out_l.len(), na * bsz, "Σ< accumulator length");
+    assert_eq!(out_g.len(), na * bsz, "Σ> accumulator length");
     let grads = &prob.device.gradients;
     let steps = prob.omega_steps(m);
     let kk = prob.k_minus_q(k, q);
@@ -202,7 +104,7 @@ fn sigma_round_core(
     let mut pb_ab_l = ws.take_packed_b();
     let mut pb_ab_g = ws.take_packed_b();
 
-    for (ax, a) in atoms {
+    for a in 0..na {
         for (pair, b) in prob.pairs_of(a) {
             let rev = prob.rev_pair[pair];
             let dc_l = d_combination_from(d_l, q, m, pair, rev, a, b, prob.npairs());
@@ -232,7 +134,7 @@ fn sigma_round_core(
                     }
                 }
                 let gi = grad_ab[i].as_slice();
-                let out_l_blk = &mut out_l[ax * bsz..(ax + 1) * bsz];
+                let out_l_blk = &mut out_l[a * bsz..(a + 1) * bsz];
                 if emission {
                     if packed {
                         small_gemm_pb(dims, C64::ONE, gi, &pb_em_l, C64::ZERO, &mut t1);
@@ -269,7 +171,7 @@ fn sigma_round_core(
                         *o += *v;
                     }
                 }
-                let out_g_blk = &mut out_g[ax * bsz..(ax + 1) * bsz];
+                let out_g_blk = &mut out_g[a * bsz..(a + 1) * bsz];
                 if emission {
                     if packed {
                         small_gemm_pb(dims, C64::ONE, gi, &pb_em_g, C64::ZERO, &mut t1);

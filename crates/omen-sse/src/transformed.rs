@@ -28,17 +28,27 @@
 //! pair order. Every stage therefore gives bitwise the same `Σ^≷`/`Π^≷`
 //! at any thread count.
 //!
+//! The stages run over an [`AtomBlock`]: an atom range with its pairs, the
+//! reverse pairs of those pairs, and an energy range with its `Nω` halo.
+//! [`sse_transformed`] runs one block covering the whole problem; the
+//! data-centric plan of `omen-comm` runs [`sse_block`] over bounded blocks
+//! of each rank's atom × energy tile. Every `Σ^≷` element and every pair's
+//! `Π^≷` sum is computed by the same arithmetic in either case, so a
+//! tiling that splits only atoms reproduces [`sse_transformed`] bitwise.
+//!
 //! The kernel produces values elementwise-identical (up to floating-point
 //! reassociation) to [`crate::reference::sse_reference`].
 
+use crate::point_kernels::DBlocks;
 use crate::problem::SseProblem;
-use crate::reference::SseOutput;
+use crate::reference::{d_combination_from, SseOutput};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
 use omen_linalg::{
     give_tls_packed_b, sbsmm, sbsmm_pb, small_gemm, take_tls_packed_b, use_packed_kernel,
     BatchDims, Strides, C64,
 };
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Below this many complex elements in a stage's output, the per-call
 /// heap cost of parallel dispatch (job buffers, scoped threads) outweighs
@@ -48,12 +58,13 @@ use rayon::prelude::*;
 const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Runs `f` over `chunk`-sized pieces of `buf` — in parallel when the
-/// buffer is large enough to amortize dispatch, serially otherwise.
-fn for_each_chunk<F>(buf: &mut [C64], chunk: usize, f: F)
+/// block allows it and the buffer is large enough to amortize dispatch,
+/// serially otherwise.
+fn for_each_chunk<F>(buf: &mut [C64], chunk: usize, parallel: bool, f: F)
 where
     F: Fn(usize, &mut [C64]) + Sync + Send,
 {
-    if buf.len() >= PAR_MIN_ELEMS {
+    if parallel && buf.len() >= PAR_MIN_ELEMS {
         buf.par_chunks_mut(chunk)
             .enumerate()
             .for_each(|(i, c)| f(i, c));
@@ -62,14 +73,139 @@ where
     }
 }
 
+/// `AtomMajor` `G^≷` storage the stages read from.
+pub trait GPanels: Sync {
+    /// The blocks `(k, e, a)` of atom `a` at momentum `k` for every energy
+    /// of the block's halo, contiguous and in energy order.
+    fn panel(&self, k: usize, a: usize) -> &[C64];
+}
+
+impl GPanels for GTensor {
+    /// The whole energy axis; the tensor must be `AtomMajor`.
+    fn panel(&self, k: usize, a: usize) -> &[C64] {
+        debug_assert_eq!(self.layout, GLayout::AtomMajor);
+        &self.as_slice()[self.offset(k, 0, a)..][..self.ne * self.bsz()]
+    }
+}
+
+/// The share of the SSE one pass of stages A–D computes.
+///
+/// Outputs: `Σ^≷` of `atoms` at `energies` (every momentum), and the `Π^≷`
+/// sums of the block's pairs — the pairs whose source atom lies in
+/// `atoms` — over the summation energies in `energies`. Stage A also
+/// builds `∇H·G` for the reverse pairs of the block's pairs that start
+/// outside `atoms`, because stage D reads them.
+///
+/// Transient slots: the block's pairs first, in pair order, then those
+/// outer reverse pairs, ascending.
+#[derive(Clone, Debug)]
+pub struct AtomBlock {
+    atoms: Range<usize>,
+    energies: Range<usize>,
+    halo: Range<usize>,
+    pairs: Range<usize>,
+    outer: Vec<usize>,
+    parallel: bool,
+}
+
+impl AtomBlock {
+    /// The whole problem in one block. Its stages fan out over the Rayon
+    /// pool once their output passes the size threshold. Performs no
+    /// allocation.
+    pub fn whole(prob: &SseProblem) -> Self {
+        AtomBlock {
+            atoms: 0..prob.na(),
+            energies: 0..prob.ne,
+            halo: 0..prob.ne,
+            pairs: 0..prob.npairs(),
+            outer: Vec::new(),
+            parallel: true,
+        }
+    }
+
+    /// The block of `atoms` at `energies`; the halo widens `energies` by
+    /// `Nω` on both sides, clamped to the grid. Its stages run on the
+    /// calling thread.
+    pub fn new(prob: &SseProblem, atoms: Range<usize>, energies: Range<usize>) -> Self {
+        assert!(
+            atoms.start < atoms.end && atoms.end <= prob.na(),
+            "atom range"
+        );
+        assert!(
+            energies.start < energies.end && energies.end <= prob.ne,
+            "energy range"
+        );
+        let offsets = &prob.device.neighbors.offsets;
+        let pairs = offsets[atoms.start]..offsets[atoms.end];
+        let mut outer: Vec<usize> = pairs
+            .clone()
+            .map(|p| prob.rev_pair[p])
+            .filter(|r| !pairs.contains(r))
+            .collect();
+        outer.sort_unstable();
+        let halo = energies.start.saturating_sub(prob.nw)..(energies.end + prob.nw).min(prob.ne);
+        AtomBlock {
+            atoms,
+            energies,
+            halo,
+            pairs,
+            outer,
+            parallel: false,
+        }
+    }
+
+    /// Transient slots: block pairs plus outer reverse pairs.
+    fn slots(&self) -> usize {
+        self.pairs.len() + self.outer.len()
+    }
+
+    /// The pair held in transient slot `s`.
+    fn pair_of_slot(&self, s: usize) -> usize {
+        match s.checked_sub(self.pairs.len()) {
+            None => self.pairs.start + s,
+            Some(x) => self.outer[x],
+        }
+    }
+
+    /// The transient slot of pair `p` (a block pair or an outer reverse
+    /// pair).
+    fn slot_of(&self, p: usize) -> usize {
+        if self.pairs.contains(&p) {
+            p - self.pairs.start
+        } else {
+            let x = self
+                .outer
+                .binary_search(&p)
+                .expect("pair outside the block's transient slots");
+            self.pairs.len() + x
+        }
+    }
+
+    /// Σ emission window of phonon step `steps`: output energies
+    /// `e ∈ [start, end)` with `e − steps` on the grid.
+    fn emission(&self, steps: usize) -> Range<usize> {
+        self.energies.start.max(steps)..self.energies.end.max(steps)
+    }
+
+    /// Σ absorption window of `steps`, which is also the Π summation
+    /// window: output energies `e` with `e + steps` on the grid.
+    fn absorption(&self, steps: usize, ne: usize) -> Range<usize> {
+        let end = self.energies.end.min(ne.saturating_sub(steps));
+        self.energies.start..end.max(self.energies.start)
+    }
+}
+
 /// The transient arrays produced by map fission (step ❶), kept public so
 /// the mixed-precision kernel can reuse stage A/B outputs.
 pub struct Transients {
-    /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`.
+    /// `∇H·G^<` blocks: layout `[slot][i][kz][E][Norb²]` over the block's
+    /// halo energies (for the whole-problem block, slot = pair and the
+    /// whole energy axis).
     pub hg_l: Vec<C64>,
     /// `∇H·G^>` blocks.
     pub hg_g: Vec<C64>,
-    /// `Σ_j Dc^<_{ij}·∇H^j_ba` blocks: layout `[pair][i][qz][ω][Norb²]`.
+    /// `Σ_j Dc^<_{ij}·∇H^j_ba` blocks of the block's pairs: layout
+    /// `[pair][i][qz][ω][Norb²]`.
     pub hd_l: Vec<C64>,
     /// Greater-component `∇H·D` blocks.
     pub hd_g: Vec<C64>,
@@ -103,13 +239,14 @@ impl Transients {
         }
     }
 
-    /// Offset of `hg[pair][i][k][e]`.
+    /// Offset of `hg[slot][i][k][e]` (`e` counted from the halo start).
     #[inline]
-    pub fn hg_offset(&self, pair: usize, i: usize, k: usize, e: usize) -> usize {
-        (((pair * 3 + i) * self.nk + k) * self.ne + e) * self.bsz
+    pub fn hg_offset(&self, slot: usize, i: usize, k: usize, e: usize) -> usize {
+        (((slot * 3 + i) * self.nk + k) * self.ne + e) * self.bsz
     }
 
-    /// Offset of `hd[pair][i][q][m]`.
+    /// Offset of `hd[pair][i][q][m]` (`pair` counted from the block's
+    /// first pair).
     #[inline]
     pub fn hd_offset(&self, pair: usize, i: usize, q: usize, m: usize) -> usize {
         (((pair * 3 + i) * self.nq + q) * self.nw + m) * self.bsz
@@ -167,41 +304,56 @@ pub fn build_transients_into(
         GLayout::AtomMajor,
         "transformed kernel expects AtomMajor G"
     );
+    block_transients(prob, &AtomBlock::whole(prob), g_l, g_g, d_l, d_g, tr);
+}
+
+/// Stages A and B of one block into `tr`.
+fn block_transients<G: GPanels, D: DBlocks + Sync>(
+    prob: &SseProblem,
+    blk: &AtomBlock,
+    g_l: &G,
+    g_g: &G,
+    d_l: &D,
+    d_g: &D,
+    tr: &mut Transients,
+) {
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
-    let npairs = prob.npairs();
-    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
+    let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
+    let nh = blk.halo.len();
     let grads = &prob.device.gradients;
     let pairs = &prob.device.neighbors.pairs;
 
-    // ---- stage A: hg[p][i][k][e] = ∇H^i_p · G_{to(p)}(k, e) ----
-    let hg_len = npairs * 3 * nk * ne * bsz;
+    // ---- stage A: hg[s][i][k][e] = ∇H^i_p · G_{to(p)}(k, e) ----
+    let hg_len = blk.slots() * 3 * nk * nh * bsz;
     tr.hg_l.clear();
     tr.hg_l.resize(hg_len, C64::ZERO);
     tr.hg_g.clear();
     tr.hg_g.resize(hg_len, C64::ZERO);
     let hg_l = &mut tr.hg_l;
     let hg_g = &mut tr.hg_g;
-    let chunk = 3 * nk * ne * bsz;
-    let stage_a = |hg: &mut [C64], g: &GTensor| {
-        for_each_chunk(hg, chunk, |p, out| {
+    let chunk = 3 * nk * nh * bsz;
+    let stage_a = |hg: &mut [C64], g: &G| {
+        for_each_chunk(hg, chunk, blk.parallel, |s, out| {
+            let p = blk.pair_of_slot(s);
             let b = pairs[p].to;
             for i in 0..3 {
                 let grad = grads.grads[p][i].as_slice();
                 for k in 0..nk {
                     // One strided-batched GEMM over the contiguous energy
                     // axis: A = ∇H (stride 0), B = G blocks (stride bsz).
-                    let g0 = g.offset(k, 0, b);
-                    let o0 = ((i * nk) + k) * ne * bsz;
+                    let o0 = ((i * nk) + k) * nh * bsz;
+                    let panel = g.panel(k, b);
+                    assert_eq!(panel.len(), nh * bsz, "G panel must span the halo");
                     sbsmm(
                         dims,
-                        ne,
+                        nh,
                         C64::ONE,
                         grad,
-                        &g.as_slice()[g0..g0 + ne * bsz],
+                        panel,
                         C64::ZERO,
-                        &mut out[o0..o0 + ne * bsz],
+                        &mut out[o0..o0 + nh * bsz],
                         Strides {
                             a: 0,
                             b: bsz,
@@ -214,10 +366,10 @@ pub fn build_transients_into(
     };
     stage_a(hg_l, g_l);
     stage_a(hg_g, g_g);
-    let flops_a = 2 * (npairs * 3 * nk * ne) as u64 * dims.flops();
+    let flops_a = 2 * (blk.slots() * 3 * nk * nh) as u64 * dims.flops();
 
     // ---- stage B: hd[p][i][q][m] = Σ_j Dc^{ij}(q,m,p) · ∇H^j_ba ----
-    let hd_len = npairs * 3 * nq * nw * bsz;
+    let hd_len = blk.pairs.len() * 3 * nq * nw * bsz;
     tr.hd_l.clear();
     tr.hd_l.resize(hd_len, C64::ZERO);
     tr.hd_g.clear();
@@ -225,15 +377,16 @@ pub fn build_transients_into(
     let hd_l = &mut tr.hd_l;
     let hd_g = &mut tr.hd_g;
     let chunk_b = 3 * nq * nw * bsz;
-    let stage_b = |hd: &mut [C64], d: &DTensor| {
-        for_each_chunk(hd, chunk_b, |p, out| {
+    let stage_b = |hd: &mut [C64], d: &D| {
+        for_each_chunk(hd, chunk_b, blk.parallel, |s, out| {
+            let p = blk.pairs.start + s;
             let a = pairs[p].from;
             let b = pairs[p].to;
             let rev = prob.rev_pair[p];
             let grad_ba = &grads.grads[rev];
             for q in 0..nq {
                 for m in 0..nw {
-                    let dc = crate::reference::d_combination(d, q, m, p, rev, a, b);
+                    let dc = d_combination_from(d, q, m, p, rev, a, b, prob.npairs());
                     for i in 0..3 {
                         let o = ((i * nq + q) * nw + m) * bsz;
                         let dst = &mut out[o..o + bsz];
@@ -251,11 +404,11 @@ pub fn build_transients_into(
     };
     stage_b(hd_l, d_l);
     stage_b(hd_g, d_g);
-    let flops_b = 2 * (npairs * nq * nw * 3 * 3) as u64 * 8 * bsz as u64;
+    let flops_b = 2 * (blk.pairs.len() * nq * nw * 3 * 3) as u64 * 8 * bsz as u64;
 
     tr.flops = flops_a + flops_b;
     tr.nk = nk;
-    tr.ne = ne;
+    tr.ne = nh;
     tr.nq = nq;
     tr.nw = nw;
     tr.bsz = bsz;
@@ -303,176 +456,248 @@ pub fn consume_transients(prob: &SseProblem, tr: &mut Transients) -> SseOutput {
 /// [`consume_transients`] into reusable output storage.
 pub fn consume_transients_into(prob: &SseProblem, tr: &mut Transients, out: &mut SseOutput) {
     let norb = prob.norb();
+    let na = prob.na();
+    out.sigma_l
+        .reset(prob.nk, prob.ne, na, norb, GLayout::AtomMajor);
+    out.sigma_g
+        .reset(prob.nk, prob.ne, na, norb, GLayout::AtomMajor);
+    let blk = AtomBlock::whole(prob);
+    let flops_c = sigma_stage(
+        prob,
+        &blk,
+        tr,
+        out.sigma_l.as_mut_slice(),
+        out.sigma_g.as_mut_slice(),
+    );
+    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
+    out.flops = tr.flops + flops_c + flops_d;
+}
+
+/// Stages A–D of one block. Writes the block's `Σ^≷` into `sigma_l` /
+/// `sigma_g` (`[atom][kz][E]` over the block's atoms and energies; they
+/// must hold zeros) and adds its pairs' `Π^≷` contributions to the pair and
+/// source-diagonal entries of `pi_l` / `pi_g` (full-size tensors). Both
+/// carry the problem's scale factors. Returns the flops spent.
+#[allow(clippy::too_many_arguments)]
+pub fn sse_block<G: GPanels, D: DBlocks + Sync>(
+    prob: &SseProblem,
+    blk: &AtomBlock,
+    g_l: &G,
+    g_g: &G,
+    d_l: &D,
+    d_g: &D,
+    tr: &mut Transients,
+    sigma_l: &mut [C64],
+    sigma_g: &mut [C64],
+    pi_l: &mut DTensor,
+    pi_g: &mut DTensor,
+) -> u64 {
+    block_transients(prob, blk, g_l, g_g, d_l, d_g, tr);
+    let flops_c = sigma_stage(prob, blk, tr, sigma_l, sigma_g);
+    let flops_d = block_pi_stage(prob, blk, tr, pi_l, pi_g);
+    tr.flops + flops_c + flops_d
+}
+
+/// Stage C: `Σ^≷[a][k][e]` of the block via strided-batched GEMMs, then
+/// the `scale_sigma` factor. Returns the stage's flops.
+fn sigma_stage(
+    prob: &SseProblem,
+    blk: &AtomBlock,
+    tr: &Transients,
+    sigma_l: &mut [C64],
+    sigma_g: &mut [C64],
+) -> u64 {
+    let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
-    let na = prob.na();
     let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    out.sigma_l.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    out.sigma_g.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    let sigma_l = &mut out.sigma_l;
-    let sigma_g = &mut out.sigma_g;
-
-    // ---- stage C: Σ^≷[a][k][e] via strided-batched GEMMs ----
-    let atom_chunk = nk * ne * bsz;
+    let nout = blk.energies.len();
+    let atom_chunk = nk * nout * bsz;
+    assert_eq!(sigma_l.len(), blk.atoms.len() * atom_chunk, "Σ< block size");
+    assert_eq!(sigma_g.len(), blk.atoms.len() * atom_chunk, "Σ> block size");
     let offsets = &prob.device.neighbors.offsets;
 
-    let flops_c: u64 = {
-        // Each atom owns a contiguous output chunk; atoms run in parallel
-        // when the Σ tensors are large enough to amortize dispatch. When
-        // the block shape amortizes packing, each ∇H·D block is packed
-        // once per (pair, i, qz, ω) into split-complex micro-panels
-        // (thread-local `PackedB`s, warm after the first atom) and swept by
-        // the FMA micro-kernel across the whole kz loop and all four Σ^≷
-        // updates; tiny blocks keep the scalar batched loop.
-        let packed = use_packed_kernel(dims);
-        let sl = sigma_l.as_mut_slice();
-        let sg = sigma_g.as_mut_slice();
-        let par = sl.len() >= PAR_MIN_ELEMS;
-        let atom_body = |a: usize, out_l: &mut [C64], out_g: &mut [C64]| -> u64 {
-            {
-                let mut flops = 0u64;
-                let strides = Strides {
-                    a: bsz,
-                    b: 0,
-                    c: bsz,
-                };
-                let mut pb_l = take_tls_packed_b();
-                let mut pb_g = take_tls_packed_b();
-                for p in offsets[a]..offsets[a + 1] {
-                    for i in 0..3 {
-                        for q in 0..nq {
-                            for m in 0..nw {
-                                let steps = prob.omega_steps(m);
-                                if steps >= ne {
-                                    continue;
-                                }
-                                let batch = ne - steps;
-                                let hd_l_blk = &tr.hd_l
-                                    [tr.hd_offset(p, i, q, m)..tr.hd_offset(p, i, q, m) + bsz];
-                                let hd_g_blk = &tr.hd_g
-                                    [tr.hd_offset(p, i, q, m)..tr.hd_offset(p, i, q, m) + bsz];
-                                if packed {
-                                    pb_l.pack(norb, norb, hd_l_blk);
-                                    pb_g.pack(norb, norb, hd_g_blk);
-                                }
-                                for k in 0..nk {
-                                    let kk = prob.k_minus_q(k, q);
-                                    let out_base = k * ne * bsz;
-                                    // Emission: Σ(e) += hg(e−steps) · hd,
-                                    // batched over e ∈ [steps, ne);
-                                    // absorption: Σ(e) += hg(e+steps) · hd',
-                                    // batched over e ∈ [0, ne−steps).
-                                    let a0 = tr.hg_offset(p, i, kk, 0);
-                                    let c0 = out_base + steps * bsz;
-                                    let a1 = tr.hg_offset(p, i, kk, steps);
-                                    let c1 = out_base;
-                                    if packed {
-                                        let mul = |hg: &[C64],
-                                                       ax: usize,
-                                                       pb: &omen_linalg::PackedB,
-                                                       out: &mut [C64],
-                                                       cx: usize| {
-                                            sbsmm_pb(
-                                                dims,
-                                                batch,
-                                                C64::ONE,
-                                                &hg[ax..ax + batch * bsz],
-                                                bsz,
-                                                pb,
-                                                C64::ONE,
-                                                &mut out[cx..cx + batch * bsz],
-                                                bsz,
-                                            );
-                                        };
-                                        mul(&tr.hg_l, a0, &pb_l, out_l, c0);
-                                        mul(&tr.hg_g, a0, &pb_g, out_g, c0);
-                                        mul(&tr.hg_l, a1, &pb_g, out_l, c1);
-                                        mul(&tr.hg_g, a1, &pb_l, out_g, c1);
-                                    } else {
-                                        let mul = |hg: &[C64],
-                                                       ax: usize,
-                                                       hd: &[C64],
-                                                       out: &mut [C64],
-                                                       cx: usize| {
-                                            sbsmm(
-                                                dims,
-                                                batch,
-                                                C64::ONE,
-                                                &hg[ax..ax + batch * bsz],
-                                                hd,
-                                                C64::ONE,
-                                                &mut out[cx..cx + batch * bsz],
-                                                strides,
-                                            );
-                                        };
-                                        mul(&tr.hg_l, a0, hd_l_blk, out_l, c0);
-                                        mul(&tr.hg_g, a0, hd_g_blk, out_g, c0);
-                                        mul(&tr.hg_l, a1, hd_g_blk, out_l, c1);
-                                        mul(&tr.hg_g, a1, hd_l_blk, out_g, c1);
+    // Each atom owns a contiguous output chunk; atoms run in parallel when
+    // the block allows it and the Σ tensors are large enough to amortize
+    // dispatch. When the block shape amortizes packing, each ∇H·D block is
+    // packed once per (pair, i, qz, ω) into split-complex micro-panels
+    // (thread-local `PackedB`s, warm after the first atom) and swept by the
+    // FMA micro-kernel across the whole kz loop and all four Σ^≷ updates;
+    // tiny blocks keep the scalar batched loop.
+    let packed = use_packed_kernel(dims);
+    let par = blk.parallel && sigma_l.len() >= PAR_MIN_ELEMS;
+    let atom_body = |x: usize, out_l: &mut [C64], out_g: &mut [C64]| -> u64 {
+        let a = blk.atoms.start + x;
+        let mut flops = 0u64;
+        let strides = Strides {
+            a: bsz,
+            b: 0,
+            c: bsz,
+        };
+        let mut pb_l = take_tls_packed_b();
+        let mut pb_g = take_tls_packed_b();
+        for p in offsets[a]..offsets[a + 1] {
+            let s = p - blk.pairs.start;
+            for i in 0..3 {
+                for q in 0..nq {
+                    for m in 0..nw {
+                        let steps = prob.omega_steps(m);
+                        // Emission: Σ(e) += hg(e−steps) · hd over `em`;
+                        // absorption: Σ(e) += hg(e+steps) · hd' over `ab`.
+                        let em = blk.emission(steps);
+                        let ab = blk.absorption(steps, ne);
+                        if em.is_empty() && ab.is_empty() {
+                            continue;
+                        }
+                        let hd_l_blk = &tr.hd_l[tr.hd_offset(s, i, q, m)..][..bsz];
+                        let hd_g_blk = &tr.hd_g[tr.hd_offset(s, i, q, m)..][..bsz];
+                        if packed {
+                            pb_l.pack(norb, norb, hd_l_blk);
+                            pb_g.pack(norb, norb, hd_g_blk);
+                        }
+                        for k in 0..nk {
+                            let kk = prob.k_minus_q(k, q);
+                            let out_base = k * nout * bsz;
+                            let a0 = tr.hg_offset(s, i, kk, em.start - steps - blk.halo.start);
+                            let c0 = out_base + (em.start - blk.energies.start) * bsz;
+                            let a1 = tr.hg_offset(s, i, kk, ab.start + steps - blk.halo.start);
+                            let c1 = out_base + (ab.start - blk.energies.start) * bsz;
+                            let (n0, n1) = (em.len(), ab.len());
+                            if packed {
+                                let mul = |hg: &[C64],
+                                           ax: usize,
+                                           pb: &omen_linalg::PackedB,
+                                           out: &mut [C64],
+                                           cx: usize,
+                                           batch: usize| {
+                                    if batch == 0 {
+                                        return;
                                     }
-                                    flops += 4 * batch as u64 * dims.flops();
-                                }
+                                    sbsmm_pb(
+                                        dims,
+                                        batch,
+                                        C64::ONE,
+                                        &hg[ax..ax + batch * bsz],
+                                        bsz,
+                                        pb,
+                                        C64::ONE,
+                                        &mut out[cx..cx + batch * bsz],
+                                        bsz,
+                                    );
+                                };
+                                mul(&tr.hg_l, a0, &pb_l, out_l, c0, n0);
+                                mul(&tr.hg_g, a0, &pb_g, out_g, c0, n0);
+                                mul(&tr.hg_l, a1, &pb_g, out_l, c1, n1);
+                                mul(&tr.hg_g, a1, &pb_l, out_g, c1, n1);
+                            } else {
+                                let mul = |hg: &[C64],
+                                           ax: usize,
+                                           hd: &[C64],
+                                           out: &mut [C64],
+                                           cx: usize,
+                                           batch: usize| {
+                                    if batch == 0 {
+                                        return;
+                                    }
+                                    sbsmm(
+                                        dims,
+                                        batch,
+                                        C64::ONE,
+                                        &hg[ax..ax + batch * bsz],
+                                        hd,
+                                        C64::ONE,
+                                        &mut out[cx..cx + batch * bsz],
+                                        strides,
+                                    );
+                                };
+                                mul(&tr.hg_l, a0, hd_l_blk, out_l, c0, n0);
+                                mul(&tr.hg_g, a0, hd_g_blk, out_g, c0, n0);
+                                mul(&tr.hg_l, a1, hd_g_blk, out_l, c1, n1);
+                                mul(&tr.hg_g, a1, hd_l_blk, out_g, c1, n1);
                             }
+                            flops += 2 * (n0 + n1) as u64 * dims.flops();
                         }
                     }
                 }
-                give_tls_packed_b(pb_l);
-                give_tls_packed_b(pb_g);
-                flops
             }
-        };
-        if par {
-            sl.par_chunks_mut(atom_chunk)
-                .zip(sg.par_chunks_mut(atom_chunk))
-                .enumerate()
-                .map(|(a, (out_l, out_g))| atom_body(a, out_l, out_g))
-                .sum()
-        } else {
-            sl.chunks_mut(atom_chunk)
-                .zip(sg.chunks_mut(atom_chunk))
-                .enumerate()
-                .map(|(a, (out_l, out_g))| atom_body(a, out_l, out_g))
-                .sum()
         }
+        give_tls_packed_b(pb_l);
+        give_tls_packed_b(pb_g);
+        flops
+    };
+    let flops = if par {
+        sigma_l
+            .par_chunks_mut(atom_chunk)
+            .zip(sigma_g.par_chunks_mut(atom_chunk))
+            .enumerate()
+            .map(|(x, (out_l, out_g))| atom_body(x, out_l, out_g))
+            .sum()
+    } else {
+        sigma_l
+            .chunks_mut(atom_chunk)
+            .zip(sigma_g.chunks_mut(atom_chunk))
+            .enumerate()
+            .map(|(x, (out_l, out_g))| atom_body(x, out_l, out_g))
+            .sum()
     };
     if prob.scale_sigma != 1.0 {
-        for v in sigma_l.as_mut_slice() {
-            *v = v.scale(prob.scale_sigma);
-        }
-        for v in sigma_g.as_mut_slice() {
+        for v in sigma_l.iter_mut().chain(sigma_g.iter_mut()) {
             *v = v.scale(prob.scale_sigma);
         }
     }
-
-    // ---- stage D: Π^≷ from transient traces ----
-    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
-
-    out.flops = tr.flops + flops_c + flops_d;
+    flops
 }
 
 /// Stage D: `Π^≷` from the `∇H·G` transients; shared by the transformed
 /// and mixed-precision kernels. Returns the stage's flops.
-///
-/// Each pair's per-`(qz, ω)` `C^≷` sums are independent, so they are
-/// computed in parallel over pairs (above the same Σ-size threshold as
-/// stages A–C) into the accumulator held in `tr`. The scatter into the Π
-/// pair and diagonal entries then runs serially in ascending pair order:
-/// a diagonal entry collects several pairs. Every sum has a fixed order,
-/// so `Π^≷` does not depend on the thread count.
 pub(crate) fn pi_stage(
     prob: &SseProblem,
     tr: &mut Transients,
     pi_l: &mut DTensor,
     pi_g: &mut DTensor,
 ) -> u64 {
+    pi_l.reset(
+        prob.nq,
+        prob.nw,
+        prob.npairs(),
+        prob.na(),
+        DLayout::PointMajor,
+    );
+    pi_g.reset(
+        prob.nq,
+        prob.nw,
+        prob.npairs(),
+        prob.na(),
+        DLayout::PointMajor,
+    );
+    block_pi_stage(prob, &AtomBlock::whole(prob), tr, pi_l, pi_g)
+}
+
+/// Stage D of one block: adds the block pairs' scaled `C^≷` sums to the
+/// pair and source-diagonal entries of `pi_l`/`pi_g`.
+///
+/// Each pair's per-`(qz, ω)` `C^≷` sums are independent, so they are
+/// computed in parallel over pairs (when the block allows it, above the
+/// same Σ-size threshold as stages A–C) into the accumulator held in `tr`.
+/// The scatter into the Π pair and diagonal entries then runs serially in
+/// ascending pair order: a diagonal entry collects several pairs. Every
+/// sum has a fixed order, so `Π^≷` does not depend on the thread count.
+fn block_pi_stage(
+    prob: &SseProblem,
+    blk: &AtomBlock,
+    tr: &mut Transients,
+    pi_l: &mut DTensor,
+    pi_g: &mut DTensor,
+) -> u64 {
     let mut scratch = std::mem::take(&mut tr.pi);
-    let flops = pi_stage_with(prob, tr, &mut scratch, pi_l, pi_g);
+    let flops = pi_stage_with(prob, blk, tr, &mut scratch, pi_l, pi_g);
     tr.pi = scratch;
     flops
 }
 
 fn pi_stage_with(
     prob: &SseProblem,
+    blk: &AtomBlock,
     tr: &Transients,
     scratch: &mut PiScratch,
     pi_l: &mut DTensor,
@@ -480,21 +705,18 @@ fn pi_stage_with(
 ) -> u64 {
     let norb = prob.norb();
     let bsz = norb * norb;
-    let na = prob.na();
     let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    let npairs = prob.npairs();
-    pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    let npairs = blk.pairs.len();
     let per_pair = nq * nw * 2 * D_BSZ;
-    let panel = ne * bsz;
+    let panel = blk.halo.len() * bsz;
     if npairs == 0 || per_pair == 0 || panel == 0 {
         return 0;
     }
 
     // Per pair: [qz][ω][lesser, greater][D_BSZ] sums. Per worker: the
     // three rev-side ∇H·G^< panels, then the three ∇H·G^> panels, each
-    // transposed block by block over the whole energy axis.
-    let par = nk * ne * na * bsz >= PAR_MIN_ELEMS;
+    // transposed block by block over the block's halo energies.
+    let par = blk.parallel && nk * blk.energies.len() * blk.atoms.len() * bsz >= PAR_MIN_ELEMS;
     let workers = if par {
         rayon::current_num_threads().clamp(1, npairs)
     } else {
@@ -509,7 +731,7 @@ fn pi_stage_with(
     let group_body = |g: usize, acc: &mut [C64], xt: &mut [C64]| -> u64 {
         acc.chunks_mut(per_pair)
             .enumerate()
-            .map(|(t, acc_p)| pair_sums(prob, tr, g * group + t, acc_p, xt))
+            .map(|(t, acc_p)| pair_sums(prob, blk, tr, g * group + t, acc_p, xt))
             .sum()
     };
     let acc = &mut scratch.acc;
@@ -528,12 +750,13 @@ fn pi_stage_with(
     };
 
     let pairs = &prob.device.neighbors.pairs;
-    for (p, acc_p) in acc.chunks(per_pair).enumerate() {
+    for (t, acc_p) in acc.chunks(per_pair).enumerate() {
+        let p = blk.pairs.start + t;
         let pe = pi_l.pair_entry(p);
         let de = pi_l.diag_entry(pairs[p].from);
         for q in 0..nq {
             for m in 0..nw {
-                if prob.omega_steps(m) >= ne {
+                if blk.absorption(prob.omega_steps(m), ne).is_empty() {
                     continue;
                 }
                 let o = (q * nw + m) * 2 * D_BSZ;
@@ -550,16 +773,24 @@ fn pi_stage_with(
     flops
 }
 
-/// The `C^≷` sums of pair `p` into `acc` (`[qz][ω][lesser, greater]`
-/// blocks): `C^<_{ij}(q, ω) = Σ_k Σ_e tr(∇H^i_rev·G^<(k+q, e+ω) ·
-/// ∇H^j_p·G^>(k, e))` and its greater counterpart. `xt` is the worker's
-/// panel buffer. Returns the flops spent.
-fn pair_sums(prob: &SseProblem, tr: &Transients, p: usize, acc: &mut [C64], xt: &mut [C64]) -> u64 {
+/// The `C^≷` sums of the block's `t`-th pair `p` into `acc`
+/// (`[qz][ω][lesser, greater]` blocks): `C^<_{ij}(q, ω) = Σ_k Σ_e
+/// tr(∇H^i_rev·G^<(k+q, e+ω) · ∇H^j_p·G^>(k, e))` and its greater
+/// counterpart, `e` over the block's summation window. `xt` is the
+/// worker's panel buffer. Returns the flops spent.
+fn pair_sums(
+    prob: &SseProblem,
+    blk: &AtomBlock,
+    tr: &Transients,
+    t: usize,
+    acc: &mut [C64],
+    xt: &mut [C64],
+) -> u64 {
     let norb = prob.norb();
     let bsz = norb * norb;
     let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    let panel = ne * bsz;
-    let rev = prob.rev_pair[p];
+    let panel = blk.halo.len() * bsz;
+    let rev_slot = blk.slot_of(prob.rev_pair[blk.pairs.start + t]);
     let mut flops = 0u64;
     acc.fill(C64::ZERO);
     for kq in 0..nk {
@@ -568,7 +799,7 @@ fn pair_sums(prob: &SseProblem, tr: &Transients, p: usize, acc: &mut [C64], xt: 
         // contiguous energy range, reused for all qz and ω.
         for (side, hg) in [&tr.hg_l, &tr.hg_g].into_iter().enumerate() {
             for i in 0..3 {
-                let src = &hg[tr.hg_offset(rev, i, kq, 0)..][..panel];
+                let src = &hg[tr.hg_offset(rev_slot, i, kq, 0)..][..panel];
                 let dst = &mut xt[(side * 3 + i) * panel..][..panel];
                 for (d, s) in dst.chunks_exact_mut(bsz).zip(src.chunks_exact(bsz)) {
                     for r in 0..norb {
@@ -580,18 +811,21 @@ fn pair_sums(prob: &SseProblem, tr: &Transients, p: usize, acc: &mut [C64], xt: 
             }
         }
         let (xt_l, xt_g) = xt.split_at(3 * panel);
+        let y0 = blk.energies.start - blk.halo.start;
         for q in 0..nq {
             let k = prob.k_minus_q(kq, q);
-            let y_l = [0, 1, 2].map(|j| &tr.hg_l[tr.hg_offset(p, j, k, 0)..][..panel]);
-            let y_g = [0, 1, 2].map(|j| &tr.hg_g[tr.hg_offset(p, j, k, 0)..][..panel]);
+            let y_l = [0, 1, 2].map(|j| &tr.hg_l[tr.hg_offset(t, j, k, y0)..][..panel - y0 * bsz]);
+            let y_g = [0, 1, 2].map(|j| &tr.hg_g[tr.hg_offset(t, j, k, y0)..][..panel - y0 * bsz]);
             for m in 0..nw {
                 let steps = prob.omega_steps(m);
-                if steps >= ne {
+                let win = blk.absorption(steps, ne);
+                if win.is_empty() {
                     continue;
                 }
-                let len = (ne - steps) * bsz;
-                let x_l = [0, 1, 2].map(|i| &xt_l[i * panel + steps * bsz..][..len]);
-                let x_g = [0, 1, 2].map(|i| &xt_g[i * panel + steps * bsz..][..len]);
+                let len = win.len() * bsz;
+                let x0 = (y0 + steps) * bsz;
+                let x_l = [0, 1, 2].map(|i| &xt_l[i * panel + x0..][..len]);
+                let x_g = [0, 1, 2].map(|i| &xt_g[i * panel + x0..][..len]);
                 let o = (q * nw + m) * 2 * D_BSZ;
                 let (c_l, c_g) = acc[o..o + 2 * D_BSZ].split_at_mut(D_BSZ);
                 let s_l = dot9(x_l, y_g);

@@ -71,9 +71,13 @@ fn main() {
             }
         };
         let rel = ((result.current() - serial.current()) / serial.current()).abs();
+        let why = match plan {
+            CommPlan::Omen => "cross-schedule reassociation only",
+            CommPlan::Dace => "tiles run the transformed kernel: bitwise",
+        };
         println!("{} plan on {RANKS} in-process ranks:", plan.name());
         println!(
-            "  I = {:.6e}  ({rel:.2e} relative to serial — cross-schedule reassociation only)",
+            "  I = {:.6e}  ({rel:.2e} relative to serial — {why})",
             result.current()
         );
         println!(

@@ -7,7 +7,7 @@
 
 use dace_omen::core::{
     CommPlan, DagExecutor, ExecutorKind, PartitionedExecutor, PlanKernel, RayonExecutor,
-    SerialExecutor, Simulation, SimulationConfig, SimulationResult,
+    SerialExecutor, Simulation, SimulationConfig, SimulationResult, TransformedKernel,
 };
 
 fn run_with_kind(kind: ExecutorKind) -> SimulationResult {
@@ -244,25 +244,37 @@ fn distributed_is_bitwise_identical_to_serial_on_both_plans() {
 
 #[test]
 fn distributed_matches_standard_serial_physics() {
-    // Against the ordinary (single-address-space) serial kernel the plans
-    // agree to cross-schedule reassociation tolerance, accumulated over
-    // the Born iterations.
+    // The DaCe plan runs the transformed kernel's stages on each rank's
+    // atom tile; with atom-only tilings (every tiling `ranks ≤ na` picks)
+    // it reproduces the single-address-space transformed kernel bitwise.
+    // The OMEN round loop reassociates, so it agrees to a tolerance
+    // accumulated over the Born iterations.
     let mut cfg = SimulationConfig::tiny();
     cfg.max_iterations = 4;
     cfg.executor = ExecutorKind::Serial;
-    let serial = Simulation::new(cfg)
-        .expect("valid config")
-        .run()
-        .expect("run succeeds");
+    let mut sim = Simulation::new(cfg).expect("valid config");
+    sim.set_kernel(Box::new(TransformedKernel::new()));
+    let serial = sim.run().expect("run succeeds");
     let s = serial.current();
-    for plan in [CommPlan::Omen, CommPlan::Dace] {
-        let d = run_distributed(plan, 2).current();
-        assert!(
-            ((s - d) / s).abs() < 1e-8,
-            "{} distributed current {d} vs serial {s}",
-            plan.name()
+    for ranks in [1, 2, 4] {
+        let d = run_distributed(CommPlan::Dace, ranks);
+        assert_eq!(
+            serial.records.len(),
+            d.records.len(),
+            "dace ranks = {ranks}"
+        );
+        assert_eq!(
+            s.to_bits(),
+            d.current().to_bits(),
+            "dace ranks = {ranks}: distributed current {} vs serial transformed {s}",
+            d.current()
         );
     }
+    let d = run_distributed(CommPlan::Omen, 2).current();
+    assert!(
+        ((s - d) / s).abs() < 1e-8,
+        "omen distributed current {d} vs serial {s}"
+    );
 }
 
 #[test]
